@@ -416,17 +416,7 @@ impl SessionManager {
             .map(|(index, sent, rx)| {
                 // A dead worker still has observable admission history:
                 // fall back to the manager's copy of its gate counters.
-                let mut fallback = ShardStats {
-                    shard: index,
-                    ..ShardStats::default()
-                };
-                if let Some(gate) = self.gates.get(index) {
-                    fallback.queued_now = gate.queued_now();
-                    fallback.queue_high_water = gate.queue_high_water();
-                    fallback.rejected_overload = gate.rejected_overload();
-                    fallback.rejected_quota = gate.rejected_quota();
-                    fallback.rejected_deadline = gate.rejected_deadline();
-                }
+                let fallback = self.gate_stats(index);
                 if sent {
                     rx.recv().unwrap_or(fallback)
                 } else {
@@ -435,6 +425,32 @@ impl SessionManager {
             })
             .collect();
         ServeStats { shards }
+    }
+
+    /// Every shard's admission counters (queue depth and high water,
+    /// overload / quota / deadline rejections), read from the manager's
+    /// gates without a round trip to the workers. Unlike
+    /// [`SessionManager::stats`] it answers while a worker is busy or
+    /// blocked; the worker-side fields read zero.
+    pub fn admission_stats(&self) -> ServeStats {
+        ServeStats {
+            shards: (0..self.gates.len()).map(|i| self.gate_stats(i)).collect(),
+        }
+    }
+
+    fn gate_stats(&self, index: usize) -> ShardStats {
+        let mut stats = ShardStats {
+            shard: index,
+            ..ShardStats::default()
+        };
+        if let Some(gate) = self.gates.get(index) {
+            stats.queued_now = gate.queued_now();
+            stats.queue_high_water = gate.queue_high_water();
+            stats.rejected_overload = gate.rejected_overload();
+            stats.rejected_quota = gate.rejected_quota();
+            stats.rejected_deadline = gate.rejected_deadline();
+        }
+        stats
     }
 }
 

@@ -30,7 +30,9 @@ pub struct SessionConfig {
     /// workers are themselves threads, so nested fan-out only pays on
     /// machines with many more cores than shards.
     pub mc_threads: usize,
-    /// Scan resolution of the weight-stability stage.
+    /// Unread. The weight-stability stage is an exact closed form with no
+    /// scan resolution; the field is kept for compatibility only, because
+    /// existing snapshots, journals and wire frames carry it.
     pub stability_resolution: usize,
 }
 

@@ -11,6 +11,8 @@ use gmaa_serve::{
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 fn serve(
     config: ServeConfig,
@@ -268,6 +270,16 @@ fn overload_sheds_through_the_wire() {
             )
             .unwrap();
     }
+    // The reader may not have read the third frame yet. Opening the store
+    // before the shed would let the worker free a slot and admit it, so
+    // wait for the shed first, on the gate counters: `stats()` would need
+    // the parked worker.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while manager.admission_stats().aggregate().rejected_overload == 0 {
+        assert!(Instant::now() < deadline, "third analyze was never shed");
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(manager.admission_stats().aggregate().queued_now, 2);
     store.open();
     assert!(matches!(client.recv().unwrap(), Response::Created));
     assert!(matches!(client.recv().unwrap(), Response::Analysis(_)));

@@ -8,11 +8,25 @@
 //! still sums to 1, and everything below each node keeps its internal
 //! distribution.
 //!
-//! The interval is found by scanning `w` over `[0, 1]` and refining the
-//! boundaries by bisection; the additive model makes rank changes monotone
-//! enough in practice that this is robust at the default resolution.
+//! # Closed form
+//!
+//! Under that rescaling each flat attribute weight (the product of the
+//! node averages on a leaf's path, which meets the target's sibling group
+//! at most once) is affine in `w`, so every alternative's average score is
+//! too: `s_i(w) = a_i + b_i·w`, with all `a_i`, `b_i` from the flat weights
+//! at `w = 0` and `w = 1`. Each criterion is then an intersection of
+//! half-lines `(a_r − a_i) + (b_r − b_i)·w ≥ −ORDERING_EPS` (the best
+//! alternative `r` against every other one, or each adjacent pair of the
+//! reference ranking), hence convex: one interval, exact up to
+//! floating-point rounding once clamped to `[0, 1]` and widened to contain
+//! the elicited weight.
+//!
+//! **Tie rule.** The reference ranking sorts the scores computed directly
+//! at the elicited weight, ties to the lower index, never the affine ones:
+//! at a tie it picks the interval's side, which rounding must not flip.
+//! `ORDERING_EPS` stops exact ties at weight extremes counting as changes.
 
-use maut::{DecisionModel, EvalContext, ObjectiveId, ORDERING_EPS};
+use maut::{EvalContext, ObjectiveId, ORDERING_EPS};
 use serde::{Deserialize, Serialize};
 
 /// What must stay unchanged inside the stability interval.
@@ -27,7 +41,7 @@ pub enum StabilityMode {
 /// Stability interval of one objective.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StabilityReport {
-    /// The objective whose weight was scanned.
+    /// The objective whose weight was varied.
     pub objective: ObjectiveId,
     /// Which stability criterion was applied.
     pub mode: StabilityMode,
@@ -52,186 +66,161 @@ impl StabilityReport {
     }
 }
 
-/// Average-utility scores when `target`'s normalized average weight is
-/// forced to `w` (its siblings rescaled proportionally).
-fn scores_with_weight(
-    model: &DecisionModel,
-    avg_matrix: &[Vec<f64>],
-    base_avgs: &[f64],
+/// Scratch shared by every objective of one model, so that the
+/// per-objective kernel allocates nothing.
+struct Scratch {
+    /// `(objective, parent index)` in pre-order: parents before children.
+    preorder: Vec<(ObjectiveId, usize)>,
+    /// Local node averages, turned in place into root-path products.
+    node: Vec<f64>,
+    /// Flat attribute weights at `w = 0` (first at `current`) and `w = 1`.
+    flat0: Vec<f64>,
+    flat1: Vec<f64>,
+    /// `s_i(w) = a[i] + b[i]·w` (`a` first holds the scores at `current`).
+    a: Vec<f64>,
+    b: Vec<f64>,
+    /// Reference ranking at `current`.
+    order: Vec<usize>,
+}
+
+impl Scratch {
+    fn new(ctx: &EvalContext) -> Scratch {
+        let tree = &ctx.model().tree;
+        let (m, n) = (ctx.model().num_attributes(), ctx.avg_matrix().len());
+        Scratch {
+            preorder: tree
+                .descendants(tree.root())
+                .into_iter()
+                .filter_map(|id| Some((id, tree.get(id).parent?.index())))
+                .collect(),
+            node: vec![0.0; tree.len()],
+            flat0: vec![0.0; m],
+            flat1: vec![0.0; m],
+            a: vec![0.0; n],
+            b: vec![0.0; n],
+            order: vec![0; n],
+        }
+    }
+}
+
+/// Flat attribute weights with `target`'s average weight forced to `w`
+/// and its siblings rescaled proportionally.
+fn flat_weights_into(
+    ctx: &EvalContext,
+    preorder: &[(ObjectiveId, usize)],
     target: ObjectiveId,
     w: f64,
-) -> Vec<f64> {
-    // Per-node average normalized local weight with the override applied.
-    let tree = &model.tree;
-    let mut node_avg = base_avgs.to_vec();
-    let sibs = tree.siblings(target);
-    let old = base_avgs[target.index()];
-    node_avg[target.index()] = w;
-    let rest: f64 = sibs
-        .iter()
-        .filter(|s| **s != target)
-        .map(|s| base_avgs[s.index()])
-        .sum();
-    for s in &sibs {
-        if *s == target {
-            continue;
+    node: &mut [f64],
+    flat: &mut [f64],
+) {
+    let (tree, base_avgs) = (&ctx.model().tree, ctx.node_averages());
+    node.copy_from_slice(base_avgs);
+    node[target.index()] = w;
+    if let Some(parent) = tree.get(target).parent {
+        let sibs = &tree.get(parent).children;
+        let rest: f64 = sibs
+            .iter()
+            .filter(|s| **s != target)
+            .map(|s| base_avgs[s.index()])
+            .sum();
+        for s in sibs.iter().filter(|s| **s != target) {
+            node[s.index()] = if rest > 1e-12 {
+                base_avgs[s.index()] * (1.0 - w) / rest
+            } else {
+                // target previously had all the mass; spread remainder evenly
+                (1.0 - w) / (sibs.len() - 1).max(1) as f64
+            };
         }
-        node_avg[s.index()] = if rest > 1e-12 {
-            base_avgs[s.index()] * (1.0 - w) / rest
-        } else {
-            // target previously had all the mass; spread remainder evenly
-            (1.0 - w) / (sibs.len() - 1).max(1) as f64
-        };
     }
-    let _ = old;
-
-    // Flat attribute weights = product of node averages along paths.
-    let mut flat = vec![0.0; model.num_attributes()];
-    for leaf in tree.leaves_under(tree.root()) {
-        let attr = tree.get(leaf).attribute.expect("leaf");
-        let mut p = 1.0;
-        for id in tree.path_to(leaf) {
-            if id == tree.root() {
-                continue;
-            }
-            p *= node_avg[id.index()];
+    // Root-path products, top-down (a valid model binds every attribute).
+    node[tree.root().index()] = 1.0;
+    for &(id, parent) in preorder {
+        node[id.index()] *= node[parent];
+        if let Some(attr) = tree.get(id).attribute {
+            flat[attr.index()] = node[id.index()];
         }
-        flat[attr.index()] = p;
-    }
-
-    avg_matrix
-        .iter()
-        .map(|row| row.iter().zip(&flat).map(|(u, w)| u * w).sum())
-        .collect()
-}
-
-fn ranking_of(scores: &[f64]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    // total_cmp: scores are finite for every valid model, but a NaN that
-    // slips through must not abort the scan — the order stays total and
-    // deterministic (both rankings the criterion compares are produced by
-    // this same function, so any total order is consistent).
-    idx.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-    idx
-}
-
-/// Score-based criterion with a tie tolerance: an exact tie at a weight
-/// extreme (two alternatives identical on the active criteria) does not
-/// count as a rank change.
-fn criterion_holds(reference: &[usize], scores: &[f64], mode: StabilityMode) -> bool {
-    match mode {
-        StabilityMode::BestAlternative => {
-            let best = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            scores[reference[0]] >= best - ORDERING_EPS
-        }
-        StabilityMode::FullRanking => reference
-            .windows(2)
-            .all(|w| scores[w[0]] >= scores[w[1]] - ORDERING_EPS),
     }
 }
 
-/// Compute the stability interval of `target` (must not be the root).
-///
-/// `resolution` is the number of scan steps (≥ 10; 200 is plenty for the
-/// 23-alternative case study), boundaries are bisected to `1e-4`.
-/// Compute the stability interval of `target` against a shared evaluation
-/// context (must not be the root).
-pub fn stability_interval_ctx(
+/// The per-objective affine kernel, over prepared scratch.
+fn interval_with(
     ctx: &EvalContext,
     target: ObjectiveId,
     mode: StabilityMode,
-    resolution: usize,
+    s: &mut Scratch,
 ) -> StabilityReport {
-    stability_core(
-        ctx.model(),
-        ctx.avg_matrix(),
-        ctx.node_averages(),
-        target,
-        mode,
-        resolution,
-    )
-}
+    let root = ctx.model().tree.root();
+    assert!(target != root, "stability of the root is undefined");
+    let (avg_matrix, current) = (ctx.avg_matrix(), ctx.node_averages()[target.index()]);
 
-fn stability_core(
-    model: &DecisionModel,
-    avg_matrix: &[Vec<f64>],
-    base_avgs: &[f64],
-    target: ObjectiveId,
-    mode: StabilityMode,
-    resolution: usize,
-) -> StabilityReport {
-    assert!(
-        target != model.tree.root(),
-        "stability of the root is undefined"
-    );
-    let resolution = resolution.max(10);
-    let current = base_avgs[target.index()];
-    let reference = ranking_of(&scores_with_weight(
-        model, avg_matrix, base_avgs, target, current,
-    ));
-
-    let holds = |w: f64| -> bool {
-        let s = scores_with_weight(model, avg_matrix, base_avgs, target, w);
-        criterion_holds(&reference, &s, mode)
-    };
-
-    // Scan outward from `current` so the interval is the connected component
-    // containing the elicited weight.
-    let step = 1.0 / resolution as f64;
-    let mut lo = current;
-    while lo - step >= -1e-12 && holds((lo - step).max(0.0)) {
-        lo = (lo - step).max(0.0);
+    // Reference ranking from the scores computed directly at `current` (in
+    // `a` until reused); the index tie-break makes the sort order total.
+    flat_weights_into(ctx, &s.preorder, target, current, &mut s.node, &mut s.flat0);
+    for (score, row) in s.a.iter_mut().zip(avg_matrix) {
+        *score = row.iter().zip(&s.flat0).map(|(u, w)| u * w).sum();
     }
-    let mut hi = current;
-    while hi + step <= 1.0 + 1e-12 && holds((hi + step).min(1.0)) {
-        hi = (hi + step).min(1.0);
+    s.order.iter_mut().enumerate().for_each(|(i, o)| *o = i);
+    let scores = &s.a;
+    s.order
+        .sort_unstable_by(|&x, &y| scores[y].total_cmp(&scores[x]).then(x.cmp(&y)));
+
+    flat_weights_into(ctx, &s.preorder, target, 0.0, &mut s.node, &mut s.flat0);
+    flat_weights_into(ctx, &s.preorder, target, 1.0, &mut s.node, &mut s.flat1);
+    for (i, row) in avg_matrix.iter().enumerate() {
+        let (mut a, mut b) = (0.0, 0.0);
+        for ((u, f0), f1) in row.iter().zip(&s.flat0).zip(&s.flat1) {
+            a += u * f0;
+            b += u * (f1 - f0);
+        }
+        (s.a[i], s.b[i]) = (a, b);
     }
-    // Bisect the two boundaries.
-    if lo > 0.0 {
-        let mut bad = (lo - step).max(0.0);
-        for _ in 0..20 {
-            let mid = (bad + lo) / 2.0;
-            if holds(mid) {
-                lo = mid;
-            } else {
-                bad = mid;
-            }
+
+    let (mut lo, mut hi) = (0.0, 1.0);
+    for k in 1..s.order.len() {
+        let above = match mode {
+            StabilityMode::BestAlternative => s.order[0],
+            StabilityMode::FullRanking => s.order[k - 1],
+        };
+        let i = s.order[k];
+        let (da, db) = (s.a[above] - s.a[i], s.b[above] - s.b[i]);
+        let bound = (-ORDERING_EPS - da) / db;
+        if db > 0.0 {
+            lo = bound.max(lo);
+        } else if db < 0.0 {
+            hi = bound.min(hi);
+        } else if da < -ORDERING_EPS {
+            // Violated for every w: the interval collapses onto `current`.
+            (lo, hi) = (f64::INFINITY, f64::NEG_INFINITY);
         }
     }
-    if hi < 1.0 {
-        let mut bad = (hi + step).min(1.0);
-        for _ in 0..20 {
-            let mid = (bad + hi) / 2.0;
-            if holds(mid) {
-                hi = mid;
-            } else {
-                bad = mid;
-            }
-        }
-    }
-
     StabilityReport {
         objective: target,
         mode,
         current,
-        lo,
-        hi,
+        lo: lo.min(current),
+        hi: hi.max(current),
     }
 }
 
-/// Stability intervals for every non-root objective, against a shared
-/// evaluation context.
-pub fn all_stability_intervals_ctx(
+/// Compute the exact stability interval of `target` against a shared
+/// evaluation context (must not be the root).
+pub fn stability_interval_ctx(
     ctx: &EvalContext,
+    target: ObjectiveId,
     mode: StabilityMode,
-    resolution: usize,
-) -> Vec<StabilityReport> {
-    let model = ctx.model();
-    model
-        .tree
-        .iter()
-        .filter(|(id, _)| *id != model.tree.root())
-        .map(|(id, _)| stability_interval_ctx(ctx, id, mode, resolution))
+) -> StabilityReport {
+    let mut scratch = Scratch::new(ctx);
+    interval_with(ctx, target, mode, &mut scratch)
+}
+
+/// Stability intervals for every non-root objective, against a shared
+/// evaluation context. One scratch set serves every objective.
+pub fn all_stability_intervals_ctx(ctx: &EvalContext, mode: StabilityMode) -> Vec<StabilityReport> {
+    let tree = &ctx.model().tree;
+    let mut scratch = Scratch::new(ctx);
+    tree.iter()
+        .filter(|(id, _)| *id != tree.root())
+        .map(|(id, _)| interval_with(ctx, id, mode, &mut scratch))
         .collect()
 }
 
@@ -260,7 +249,7 @@ mod tests {
     fn flip_point_is_found() {
         let m = model();
         let x = m.tree.find("x").unwrap();
-        let r = stability_interval_ctx(&ctx(&m), x, StabilityMode::BestAlternative, 200);
+        let r = stability_interval_ctx(&ctx(&m), x, StabilityMode::BestAlternative);
         // x-wins and y-wins tie at w_x = 0.5; below that y-wins leads.
         assert!((r.current - 0.5).abs() < 1e-9);
         assert!(
@@ -269,6 +258,16 @@ mod tests {
         );
         assert!(r.lo > 0.4 && r.lo <= 0.51, "flip near 0.5: {r:?}");
         assert!(!r.is_fully_stable(1e-6));
+    }
+
+    #[test]
+    fn flip_point_is_the_exact_tie_point() {
+        let m = model();
+        let x = m.tree.find("x").unwrap();
+        for mode in [StabilityMode::BestAlternative, StabilityMode::FullRanking] {
+            let r = stability_interval_ctx(&ctx(&m), x, mode);
+            assert!((r.lo - 0.5).abs() <= 1e-8 && r.hi == 1.0, "{mode:?}: {r:?}");
+        }
     }
 
     #[test]
@@ -281,7 +280,7 @@ mod tests {
         b.alternative("worst", vec![Perf::level(0), Perf::level(0)]);
         let m = b.build().unwrap();
         let x = m.tree.find("x").unwrap();
-        let r = stability_interval_ctx(&ctx(&m), x, StabilityMode::FullRanking, 100);
+        let r = stability_interval_ctx(&ctx(&m), x, StabilityMode::FullRanking);
         assert!(r.is_fully_stable(1e-6), "{r:?}");
         assert_eq!(r.width(), r.hi - r.lo);
     }
@@ -291,8 +290,8 @@ mod tests {
         let m = model();
         let x = m.tree.find("x").unwrap();
         let c = ctx(&m);
-        let best = stability_interval_ctx(&c, x, StabilityMode::BestAlternative, 100);
-        let full = stability_interval_ctx(&c, x, StabilityMode::FullRanking, 100);
+        let best = stability_interval_ctx(&c, x, StabilityMode::BestAlternative);
+        let full = stability_interval_ctx(&c, x, StabilityMode::FullRanking);
         assert!(full.lo >= best.lo - 1e-9);
         assert!(full.hi <= best.hi + 1e-9);
     }
@@ -300,7 +299,7 @@ mod tests {
     #[test]
     fn all_intervals_cover_every_objective() {
         let m = model();
-        let rs = all_stability_intervals_ctx(&ctx(&m), StabilityMode::BestAlternative, 50);
+        let rs = all_stability_intervals_ctx(&ctx(&m), StabilityMode::BestAlternative);
         assert_eq!(rs.len(), m.tree.len() - 1);
     }
 
@@ -308,7 +307,7 @@ mod tests {
     #[should_panic(expected = "root is undefined")]
     fn root_is_rejected() {
         let m = model();
-        stability_interval_ctx(&ctx(&m), m.tree.root(), StabilityMode::BestAlternative, 50);
+        stability_interval_ctx(&ctx(&m), m.tree.root(), StabilityMode::BestAlternative);
     }
 
     #[test]
@@ -333,7 +332,7 @@ mod tests {
         );
         let m = b.build().unwrap();
         let g_id = m.tree.find("g").unwrap();
-        let r = stability_interval_ctx(&ctx(&m), g_id, StabilityMode::BestAlternative, 200);
+        let r = stability_interval_ctx(&ctx(&m), g_id, StabilityMode::BestAlternative);
         // g-strong is best at 0.6; it stays best down to 0.5 and up to 1.
         assert!(r.hi >= 1.0 - 1e-6);
         assert!((r.lo - 0.5).abs() < 0.02, "{r:?}");

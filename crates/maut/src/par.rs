@@ -14,13 +14,19 @@
 //! thread, so the single-alternative incremental paths never pay a spawn.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Worker count for `threads == 0`: one per available core (1 if the OS
-/// will not say).
+/// will not say). Queried once per process and cached, since
+/// `available_parallelism` reads the OS (cgroup limits, affinity) on
+/// every call.
 pub fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// How many workers to actually use for `len` items: the requested count
@@ -117,6 +123,19 @@ mod tests {
         let ranges = split_ranges(10, 3);
         assert_eq!(ranges, vec![0..4, 4..7, 7..10]);
         assert_eq!(split_ranges(2, 2), vec![0..1, 1..2]);
+    }
+
+    #[test]
+    fn auto_threads_is_cached_and_stable() {
+        let first = auto_threads();
+        assert!(first >= 1);
+        let from_threads: Vec<usize> = (0..4)
+            .map(|_| std::thread::spawn(auto_threads))
+            .map(|h| h.join().unwrap())
+            .collect();
+        assert!(from_threads.iter().all(|&n| n == first));
+        assert!((0..100).all(|_| auto_threads() == first));
+        assert_eq!(effective_threads(first * 1000, 0, 1), first);
     }
 
     #[test]
