@@ -121,21 +121,14 @@ fn abl15_mc_soa_pipeline(c: &mut Criterion) {
     let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 10_000, 20120402);
     // The ablation only means something if the pipelines agree exactly.
     let scalar = mc.run_scalar_ctx(&ctx);
-    let batched = mc.clone().with_threads(1).run_ctx(&ctx);
-    let threaded = mc.clone().with_threads(0).run_ctx(&ctx);
-    assert_eq!(scalar.rank_counts(), batched.rank_counts());
-    assert_eq!(scalar.rank_counts(), threaded.rank_counts());
+    let pruned = mc.run_ctx(&ctx);
+    assert_eq!(scalar.rank_counts(), pruned.rank_counts());
 
     let mut group = c.benchmark_group("abl15_mc_soa_pipeline");
     group.bench_function("scalar_reference", |b| {
         b.iter(|| black_box(mc.run_scalar_ctx(&ctx)));
     });
-    group.bench_function("soa_batch_1thread", |b| {
-        let mc = mc.clone().with_threads(1);
-        b.iter(|| black_box(mc.run_ctx(&ctx)));
-    });
-    group.bench_function("soa_batch_parallel", |b| {
-        let mc = mc.clone().with_threads(0);
+    group.bench_function("pair_pruned_stream", |b| {
         b.iter(|| black_box(mc.run_ctx(&ctx)));
     });
     group.finish();
@@ -150,10 +143,8 @@ fn montecarlo_scaling(c: &mut Criterion) {
             let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, t, 23);
             b.iter(|| black_box(mc.run_scalar_ctx(&ctx)));
         });
-        group.bench_with_input(BenchmarkId::new("soa_batch", trials), &trials, |b, &t| {
-            // Pin to one worker so this series isolates the layout win;
-            // abl15_mc_soa_pipeline covers the parallel variant.
-            let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, t, 23).with_threads(1);
+        group.bench_with_input(BenchmarkId::new("pair_pruned", trials), &trials, |b, &t| {
+            let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, t, 23);
             b.iter(|| black_box(mc.run_ctx(&ctx)));
         });
     }

@@ -273,23 +273,22 @@ fn engine_bench(serving: &str) -> String {
     let lp = stats_ctx.lp_stats();
 
     // Monte Carlo hot-loop ablation on a pristine context: the scalar
-    // reference loop vs the batched SoA path vs SoA + scoped-thread
-    // fan-out, all at the paper's 10 000 elicited-interval trials.
+    // reference loop vs the pair-pruned streaming kernel, at the paper's
+    // 10 000 elicited-interval trials, plus the kernel's pair split.
     let mc_ctx = EvalContext::new(model.clone()).expect("valid");
     let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 10_000, 20120402);
     let mc_scalar_ns = time_ns(3, || {
-        std::hint::black_box(mc.clone().with_threads(1).run_scalar_ctx(&mc_ctx));
+        std::hint::black_box(mc.run_scalar_ctx(&mc_ctx));
     });
     let mc_soa_ns = time_ns(3, || {
-        std::hint::black_box(mc.clone().with_threads(1).run_ctx(&mc_ctx));
+        std::hint::black_box(mc.run_ctx(&mc_ctx));
     });
-    let mc_par_ns = time_ns(3, || {
-        std::hint::black_box(mc.clone().with_threads(0).run_ctx(&mc_ctx));
-    });
+    let pruning = mc.pruning(&mc_ctx);
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let stats = ctx.stats();
     format!(
-        "{{\n  \"model\": \"paper 23x14\",\n  \"cold_evaluate_ns\": {cold_eval_ns:.0},\n  \"context_evaluate_ns\": {ctx_eval_ns:.0},\n  \"incremental_set_perf_evaluate_ns\": {incr_eval_ns:.0},\n  \"speedup_context_vs_cold\": {:.2},\n  \"speedup_incremental_vs_cold\": {:.2},\n  \"analyze_full_cycle_ns\": {engine_analyze_ns:.0},\n  \"analysis_cycle\": {{\n    \"reference_per_pair_cold_lp_ns\": {cycle_reference_ns:.0},\n    \"blocked_warm_start_ns\": {cycle_optimized_ns:.0},\n    \"speedup\": {:.2},\n    \"lp_solves\": {},\n    \"lp_warm_started\": {},\n    \"lp_pivots_total\": {},\n    \"pivots_per_cold_lp\": {:.2},\n    \"pivots_per_warm_lp\": {:.2}\n  }},\n  \"incremental_whatif\": {{\n    \"full_discard_cycle_ns\": {cycle_optimized_ns:.0},\n    \"incremental_set_perf_discard_cycle_ns\": {incr_cycle_ns:.0},\n    \"speedup_incremental_vs_full\": {:.2},\n    \"lp_recertified_per_edit\": {recertified_per_edit:.2},\n    \"frontrunner_edit_ns\": {incr_front_ns:.0},\n    \"frontrunner_speedup_vs_full\": {:.2},\n    \"frontrunner_lp_recertified\": {recertified_front:.2}\n  }},\n  \"montecarlo_10k_trials\": {{\n    \"scalar_ns\": {mc_scalar_ns:.0},\n    \"soa_batch_ns\": {mc_soa_ns:.0},\n    \"soa_parallel_ns\": {mc_par_ns:.0},\n    \"speedup_soa_batch_vs_scalar\": {:.2},\n    \"speedup_soa_parallel_vs_scalar\": {:.2}\n  }},\n  \"context_stats\": {{\n    \"cold_evaluations\": {},\n    \"incremental_refreshes\": {},\n    \"cache_hits\": {},\n    \"rows_recomputed\": {}\n  }},\n{serving}\n}}\n",
+        "{{\n  \"model\": \"paper 23x14\",\n  \"available_parallelism\": {parallelism},\n  \"cold_evaluate_ns\": {cold_eval_ns:.0},\n  \"context_evaluate_ns\": {ctx_eval_ns:.0},\n  \"incremental_set_perf_evaluate_ns\": {incr_eval_ns:.0},\n  \"speedup_context_vs_cold\": {:.2},\n  \"speedup_incremental_vs_cold\": {:.2},\n  \"analyze_full_cycle_ns\": {engine_analyze_ns:.0},\n  \"analysis_cycle\": {{\n    \"reference_per_pair_cold_lp_ns\": {cycle_reference_ns:.0},\n    \"blocked_warm_start_ns\": {cycle_optimized_ns:.0},\n    \"speedup\": {:.2},\n    \"lp_solves\": {},\n    \"lp_warm_started\": {},\n    \"lp_pivots_total\": {},\n    \"pivots_per_cold_lp\": {:.2},\n    \"pivots_per_warm_lp\": {:.2}\n  }},\n  \"incremental_whatif\": {{\n    \"full_discard_cycle_ns\": {cycle_optimized_ns:.0},\n    \"incremental_set_perf_discard_cycle_ns\": {incr_cycle_ns:.0},\n    \"speedup_incremental_vs_full\": {:.2},\n    \"lp_recertified_per_edit\": {recertified_per_edit:.2},\n    \"frontrunner_edit_ns\": {incr_front_ns:.0},\n    \"frontrunner_speedup_vs_full\": {:.2},\n    \"frontrunner_lp_recertified\": {recertified_front:.2}\n  }},\n  \"montecarlo_10k_trials\": {{\n    \"scalar_ns\": {mc_scalar_ns:.0},\n    \"soa_batch_ns\": {mc_soa_ns:.0},\n    \"speedup_soa_batch_vs_scalar\": {:.2},\n    \"live_alternatives\": {},\n    \"undecided_pairs\": {}\n  }},\n  \"context_stats\": {{\n    \"cold_evaluations\": {},\n    \"incremental_refreshes\": {},\n    \"cache_hits\": {},\n    \"rows_recomputed\": {}\n  }},\n{serving}\n}}\n",
         cold_eval_ns / ctx_eval_ns,
         cold_eval_ns / incr_eval_ns,
         cycle_reference_ns / cycle_optimized_ns,
@@ -301,7 +300,8 @@ fn engine_bench(serving: &str) -> String {
         cycle_optimized_ns / incr_cycle_ns,
         cycle_optimized_ns / incr_front_ns,
         mc_scalar_ns / mc_soa_ns,
-        mc_scalar_ns / mc_par_ns,
+        pruning.live_alternatives,
+        pruning.undecided_pairs,
         stats.cold_evaluations,
         stats.incremental_refreshes,
         stats.cache_hits,
@@ -659,8 +659,9 @@ fn serving_tcp_bench() -> String {
     drop(server);
     drop(manager);
 
-    // Overload burst: one shard, a small admission queue, a long Monte
-    // Carlo parking the worker, then 2× the queue capacity of pipelined
+    // Overload burst: one shard, a small admission queue, the longest
+    // Monte Carlo a request may ask for parking the worker (~0.1 s on the
+    // paper model), then 2× the queue capacity of pipelined
     // analyzes. The queue admits exactly its capacity; the rest shed
     // with the typed Overloaded error at admission time.
     const CAP: usize = 8;
@@ -683,7 +684,7 @@ fn serving_tcp_bench() -> String {
         .send(
             Request::MonteCarlo {
                 session: "hot".into(),
-                trials: 2_000_000,
+                trials: gmaa_serve::MAX_MC_TRIALS,
             },
             None,
         )

@@ -61,7 +61,9 @@ mod store;
 
 pub use admission::TenantQuota;
 pub use manager::{Pending, ServeConfig, SessionManager};
-pub use protocol::{Request, RequestKind, Response, ServeError, SessionConfig, SessionSnapshot};
+pub use protocol::{
+    Request, RequestKind, Response, ServeError, SessionConfig, SessionSnapshot, MAX_MC_TRIALS,
+};
 pub use stats::{LoadStats, RequestCounts, ServeStats, ShardStats, StoreStats};
 pub use store::{
     FaultInjectingStore, FileStore, FsyncPolicy, JournalRecord, MemoryStore, SessionStore,

@@ -16,19 +16,29 @@ use maut_sense::{LpError, MonteCarloResult};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Largest Monte Carlo trial count the service runs: the bound on
+/// [`Request::MonteCarlo`]'s `trials` and on [`SessionConfig::mc_trials`].
+/// One request runs to completion on its shard worker, so an unbounded
+/// count would pin the worker, and every session hashed to it, for as
+/// long as the client likes. A million trials of the 23 × 14 paper model
+/// take well under a second.
+pub const MAX_MC_TRIALS: usize = 1_000_000;
+
 /// Per-session analysis settings, applied when the session is created and
 /// preserved across hibernation (they travel inside the
 /// [`SessionSnapshot`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionConfig {
-    /// Monte Carlo trials used by [`Request::Analyze`]'s simulation stage.
+    /// Monte Carlo trials used by [`Request::Analyze`]'s simulation stage,
+    /// in `1..=`[`MAX_MC_TRIALS`] (checked when the session is created or
+    /// restored).
     pub mc_trials: usize,
     /// Seed of the Monte Carlo stage (results are seed-deterministic, so
     /// a rehydrated session reproduces its pre-eviction simulations).
     pub mc_seed: u64,
-    /// Worker threads of the Monte Carlo stage. Defaults to `1`: shard
-    /// workers are themselves threads, so nested fan-out only pays on
-    /// machines with many more cores than shards.
+    /// Unread. The Monte Carlo stage runs on the shard worker's own
+    /// thread; the field is kept for compatibility only, because existing
+    /// snapshots, journals and wire frames carry it.
     pub mc_threads: usize,
     /// Unread. The weight-stability stage is an exact closed form with no
     /// scan resolution; the field is kept for compatibility only, because
@@ -116,12 +126,13 @@ pub enum Request {
         session: String,
     },
     /// Run a Monte Carlo simulation with an explicit trial count (the
-    /// session's seed and thread settings apply; the session's own
-    /// `mc_trials` is untouched).
+    /// session's seed applies; the session's own `mc_trials` is
+    /// untouched).
     MonteCarlo {
         /// Session name.
         session: String,
-        /// Number of weight-sampling trials.
+        /// Number of weight-sampling trials, in `1..=`[`MAX_MC_TRIALS`];
+        /// other counts fail with [`ServeError::InvalidRequest`].
         trials: usize,
     },
     /// Capture the session's current state as a [`SessionSnapshot`]
@@ -218,7 +229,8 @@ pub enum ServeError {
     /// The model or an edit was rejected (invalid cell, infeasible
     /// weights, failed validation on create/rehydrate).
     Model(ModelError),
-    /// A request parameter is invalid (e.g. a zero-trial Monte Carlo).
+    /// A request parameter or session setting is invalid (e.g. a
+    /// Monte Carlo trial count outside `1..=`[`MAX_MC_TRIALS`]).
     /// Session-local: the session is untouched.
     InvalidRequest(String),
     /// LP solver breakdown inside an analysis — never a legitimate

@@ -10,7 +10,7 @@
 //! `gmaa`), serializing just the model keeps hibernated sessions as small
 //! as a workspace file.
 
-use crate::protocol::{ServeError, SessionConfig, SessionSnapshot};
+use crate::protocol::{ServeError, SessionConfig, SessionSnapshot, MAX_MC_TRIALS};
 use crate::store::JournalRecord;
 use gmaa::AnalysisEngine;
 use maut::DecisionModel;
@@ -28,12 +28,15 @@ pub struct Session {
 }
 
 impl Session {
-    /// Validate `model` and open a session over it.
+    /// Validate `model` and `config` and open a session over them. A
+    /// trial count outside `1..=`[`MAX_MC_TRIALS`] is refused here, where
+    /// both creation and restore from a stored snapshot pass, instead of
+    /// panicking the shard worker at the next `Analyze`.
     pub(crate) fn new(model: DecisionModel, config: SessionConfig) -> Result<Session, ServeError> {
+        check_mc_trials(config.mc_trials)?;
         let mut engine = AnalysisEngine::new(model)?;
         engine.mc_trials = config.mc_trials;
         engine.mc_seed = config.mc_seed;
-        engine.mc_threads = config.mc_threads;
         Ok(Session {
             engine,
             config,
@@ -93,6 +96,17 @@ impl Session {
     }
 }
 
+/// Check a Monte Carlo trial count against `1..=`[`MAX_MC_TRIALS`].
+pub(crate) fn check_mc_trials(trials: usize) -> Result<(), ServeError> {
+    if (1..=MAX_MC_TRIALS).contains(&trials) {
+        Ok(())
+    } else {
+        Err(ServeError::InvalidRequest(format!(
+            "Monte Carlo trial count {trials} is outside 1..={MAX_MC_TRIALS}"
+        )))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,6 +145,33 @@ mod tests {
             Session::restore(&snap, "t"),
             Err(ServeError::Snapshot(_))
         ));
+    }
+
+    #[test]
+    fn restore_rejects_out_of_range_trial_counts() {
+        // A stored snapshot with a zero (or absurd) trial count must fail
+        // restore with a typed error, not panic the worker at the next
+        // Analyze.
+        let s = Session::new(model(), SessionConfig::default()).unwrap();
+        for trials in [0, MAX_MC_TRIALS + 1, usize::MAX] {
+            let mut snap = s.snapshot("t").unwrap();
+            snap.config.mc_trials = trials;
+            assert!(matches!(
+                Session::restore(&snap, "t"),
+                Err(ServeError::InvalidRequest(_))
+            ));
+            let config = SessionConfig {
+                mc_trials: trials,
+                ..SessionConfig::default()
+            };
+            assert!(matches!(
+                Session::new(model(), config),
+                Err(ServeError::InvalidRequest(_))
+            ));
+        }
+        let mut snap = s.snapshot("t").unwrap();
+        snap.config.mc_trials = MAX_MC_TRIALS;
+        assert!(Session::restore(&snap, "t").is_ok());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::admission::ShardGate;
 use crate::protocol::{Request, RequestKind, Response, ServeError, SessionConfig, SessionSnapshot};
-use crate::session::Session;
+use crate::session::{check_mc_trials, Session};
 use crate::stats::{LoadStats, RequestCounts, ShardStats, StoreStats};
 use crate::store::{JournalRecord, SessionStore, StoredSession};
 use gmaa::CycleStats;
@@ -336,19 +336,15 @@ impl Shard {
             Request::MonteCarlo { session, trials } => {
                 // Validate before touching the engine: MonteCarlo::new
                 // asserts trials > 0, and a panic here would take down
-                // the whole shard, not just this request.
-                if trials == 0 {
-                    return Err(ServeError::InvalidRequest(
-                        "Monte Carlo needs at least one trial".to_string(),
-                    ));
-                }
+                // the whole shard, not just this request; an unbounded
+                // count would pin the shard instead.
+                check_mc_trials(trials)?;
                 let s = self.touch(&session)?;
                 let result = MonteCarlo::new(
                     MonteCarloConfig::ElicitedIntervals,
                     trials,
                     s.config.mc_seed,
                 )
-                .with_threads(s.config.mc_threads)
                 .run_ctx(s.engine.context());
                 Ok(Response::MonteCarlo(Box::new(result)))
             }

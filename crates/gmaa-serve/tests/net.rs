@@ -7,6 +7,7 @@ use common::{model, quick, GateStore};
 use gmaa_serve::net::{Client, NetConfig, Server, WireRequest, WireResponse};
 use gmaa_serve::{
     MemoryStore, Request, Response, ServeConfig, ServeError, SessionManager, SessionStore,
+    MAX_MC_TRIALS,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -168,6 +169,42 @@ fn pipelined_requests_answer_in_order() {
         assert!(matches!(client.recv().unwrap(), Response::MonteCarlo(_)));
     }
     assert_eq!(client.in_flight(), 0);
+}
+
+#[test]
+fn oversized_monte_carlo_trial_count_is_rejected_over_the_wire() {
+    // One frame asking for an unbounded trial count must not pin a shard
+    // worker: it gets a typed InvalidRequest, and the connection and the
+    // session keep serving.
+    let (server, _manager) = serve(quick_config(), None);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client
+        .request(Request::CreateSession {
+            session: "mc".into(),
+            model: model(),
+        })
+        .unwrap();
+    for trials in [0, MAX_MC_TRIALS + 1, usize::MAX] {
+        assert!(
+            matches!(
+                client.request(Request::MonteCarlo {
+                    session: "mc".into(),
+                    trials,
+                }),
+                Err(ServeError::InvalidRequest(_))
+            ),
+            "{trials} trials"
+        );
+    }
+    assert!(matches!(
+        client
+            .request(Request::MonteCarlo {
+                session: "mc".into(),
+                trials: 40,
+            })
+            .unwrap(),
+        Response::MonteCarlo(r) if r.trials == 40
+    ));
 }
 
 #[test]

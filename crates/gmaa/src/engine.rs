@@ -151,8 +151,9 @@ pub struct AnalysisEngine {
     pub mc_trials: usize,
     /// Seed for the Monte Carlo stage.
     pub mc_seed: u64,
-    /// Worker threads for the Monte Carlo stage (`0` = one per core,
-    /// `1` = single-threaded); any value produces identical results.
+    /// Unread. The Monte Carlo stage runs on the calling thread (see
+    /// [`maut_sense::montecarlo`]); the field is kept for compatibility
+    /// only, so callers and tools that still set it keep compiling.
     pub mc_threads: usize,
     /// Unread. The stability stage is an exact closed form with no scan
     /// resolution; the field is kept for compatibility only, so callers
@@ -409,13 +410,10 @@ impl AnalysisEngine {
     }
 
     /// Monte Carlo simulation with any of the three weight-generation
-    /// classes, on the batched columnar path (see
-    /// [`maut_sense::montecarlo`]; results are seed-deterministic and
-    /// independent of [`AnalysisEngine::mc_threads`]).
+    /// classes, on the pair-pruned streaming kernel (see
+    /// [`maut_sense::montecarlo`]; results are seed-deterministic).
     pub fn monte_carlo(&self, config: MonteCarloConfig) -> MonteCarloResult {
-        MonteCarlo::new(config, self.mc_trials, self.mc_seed)
-            .with_threads(self.mc_threads)
-            .run_ctx(&self.ctx)
+        MonteCarlo::new(config, self.mc_trials, self.mc_seed).run_ctx(&self.ctx)
     }
 
     /// Run the complete Section IV + V pipeline against the shared

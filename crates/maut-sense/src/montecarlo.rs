@@ -15,45 +15,91 @@
 //!
 //! ## The hot loop
 //!
-//! [`MonteCarlo::run_ctx`] is the batched path: weight vectors are drawn
-//! *sequentially* from the single seeded RNG into a flat sample buffer
-//! (identical stream to the scalar path, draw for draw), then each batch is
-//! scored against the columnar [`maut::BandMatrixSoA`] and ranked with
-//! reused scratch buffers — optionally fanned out over
-//! [`MonteCarlo::threads`] scoped workers whose integer rank counts merge
-//! order-independently. The result is therefore **identical** for the
-//! scalar reference ([`MonteCarlo::run_scalar_ctx`]), one thread, or N
-//! threads; `tests/soa_equivalence.rs` locks that down differentially.
+//! [`MonteCarlo::run_ctx`] is an exact, pair-pruned, single-threaded
+//! streaming kernel. Its rank counts equal the scalar reference
+//! [`MonteCarlo::run_scalar_ctx`] exactly; `tests/soa_equivalence.rs` and
+//! the golden fixture `tests/fixtures/mc_paper_counts.txt` lock that down.
+//!
+//! **Pair classification.** An alternative's rank in a trial is `1 +` the
+//! number of rivals with a strictly greater score. Before the trials,
+//! every pair `(a, b)` is classified over the sampler's support
+//! `P = {w : l' ≤ w ≤ u', Σw = 1}`. For `ElicitedIntervals`, `l'`/`u'` are
+//! the flattened bounds widened by the `1e-9` slack the acceptance test
+//! allows, rounded exactly as that test rounds them
+//! ([`statlab::IntervalStream::support`]). The other classes draw from
+//! the whole simplex: `l' = 0`, `u' = 1`. With `d = mid_a − mid_b`, the
+//! minimum of `Σ d_j w_j` over `P` is a fractional knapsack: start every
+//! `w_j` at `l'_j` and pour the remaining mass into the smallest `d_j`
+//! first (O(m log m), no LP); the maximum pours into the largest first.
+//! If the minimum exceeds the margin `δ`, `a` outscores `b` in every
+//! trial, and the pair adds a constant 1 to `b`'s rank; symmetrically if
+//! the maximum is below `−δ`. Every other pair — ties included, since a
+//! zero difference is never decided — is *undecided* and compared per
+//! trial with the same strict `>` rule as the reference.
+//!
+//! **The margin δ.** Let `u = 2⁻⁵³` and `M = max |mid|`. A drawn vector
+//! `w` lies in the box exactly (the acceptance test compares the stored
+//! components; simplex draws are non-negative, and `u' = 1` is implied
+//! there), and its sum `s` is within `(m + 2)u` of 1 (one rounded
+//! reciprocal, `m` rounded products, the rounded sum they divide). The
+//! knapsack minimum `K(s)` over `{l' ≤ w ≤ u', Σw = s}` is convex and
+//! piecewise linear in `s` with slopes among the `d_j ∈ [−2M, 2M]`, so
+//! `Σ d_j w_j ≥ K(1) − 2M(m + 2)u`. The two computed `m`-term scores are
+//! each within `γ_m M s` of their exact values (`γ_m = mu / (1 − mu)`),
+//! and the computed knapsack minimum is within a few `m·u·M` of `K(1)`.
+//! All terms together stay below `64(m + 1)·u·M`; `δ = 1e-6 · max(M, 1)`
+//! exceeds that for every `m` below 10⁸, so a decided pair's order holds
+//! in every computed trial.
+//!
+//! **Fixed ranks.** An alternative whose pairs are all decided has one
+//! rank in every trial: it gets `counts[i][base_i] += trials` once and is
+//! never scored.
+//!
+//! **Streaming.** `ElicitedIntervals` draws come from a
+//! [`statlab::IntervalStream`]: every attempt consumes exactly `m` RNG
+//! values, so the stream draws a chunk of attempts ahead, box-tests the
+//! whole chunk with one vector pass per attribute, and writes accepted
+//! vectors straight into a 16-trial attribute-major block. The other
+//! classes draw per trial with [`SimplexSampler::sample_into`]. Only the
+//! *live* alternatives (those with an undecided pair) are scored, as
+//! one column-major [`maut::BandMatrixSoA::mid_subset`] matrix, in the
+//! same per-trial `j`-ascending order as the reference, so their scores
+//! are bit-identical; only the undecided pairs are compared.
+//!
+//! **The fallback rule.** After 1000 rejected attempts the sampler
+//! returns a clamped, re-normalized draw, which can leave `P`;
+//! [`statlab::IntervalStream::fill_block`] flags its lane. Such a trial
+//! is ranked in full: every alternative scored, every pair compared. The
+//! fixed-rank constants count only the other trials.
+//!
+//! **No fan-out.** The kernel runs on the calling thread; the serving
+//! shards already provide the parallelism. Past 64 live alternatives it
+//! falls back to scoring every alternative per trial and ranking by
+//! sorting. [`MonteCarlo::threads`] is an unread compatibility
+//! field.
 
 use maut::weights::AttributeWeights;
-use maut::{par, EvalContext};
+use maut::{BandMatrixSoA, EvalContext};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use statlab::{
-    Boxplot, MultipleBoxplot, RankAccumulator, RankScratch, RankStats, SimplexSampler, WeightScheme,
+    Boxplot, IntervalStream, MultipleBoxplot, RankAccumulator, RankScratch, RankStats,
+    SimplexSampler, WeightScheme,
 };
 
-/// Trials per sample batch: bounds buffer memory (a batch holds
-/// `BATCH_TRIALS × n_attrs` weights) while amortizing per-batch setup.
-const BATCH_TRIALS: usize = 4096;
-
-/// Minimum trials each scoped worker must receive before the fan-out pays
-/// for the spawns.
-const PAR_MIN_TRIALS: usize = 512;
-
-/// Up to this many alternatives, scoring and ranking run on the blocked
-/// transposed kernels (trials in the SIMD lanes, O(n²)-per-trial rank
-/// counting); beyond it the per-trial sorting path wins. Both produce
+/// Up to this many live alternatives, the pruned block kernel scores and
+/// ranks; beyond it the per-trial sorting path wins. Both produce
 /// identical rank counts.
 const DENSE_RANK_MAX: usize = 64;
 
-/// Trials per transposed sub-block — exactly the width of the
-/// register-blocked kernels ([`maut::soa::SCORE_LANES`] /
-/// [`statlab::RANK_LANES`]); trailing partial blocks fall back to the
-/// dynamic kernels with identical results.
-const BLOCK_TRIALS: usize = maut::soa::SCORE_LANES;
-const _: () = assert!(BLOCK_TRIALS == statlab::RANK_LANES, "kernel widths agree");
+/// Trials per scoring block: the width of the register-blocked
+/// [`BandMatrixSoA::score_block_transposed`] kernel.
+const LANES: usize = maut::soa::SCORE_LANES;
+
+/// Relative margin `δ` a pair's knapsack extreme must clear before the
+/// pair is decided; see the module docs for why it covers all rounding.
+const PAIR_MARGIN: f64 = 1e-6;
 
 /// Which of the three GMAA simulation classes to run.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,15 +221,84 @@ pub struct MonteCarlo {
     pub trials: usize,
     /// RNG seed (results are a pure function of config + trials + seed).
     pub seed: u64,
-    /// Scoring workers for [`MonteCarlo::run_ctx`]: `0` = one per core,
-    /// `1` = single-threaded. Any value yields identical results — weight
-    /// generation stays on one sequential RNG stream and the per-worker
-    /// rank counts merge order-independently.
+    /// Unread. [`MonteCarlo::run_ctx`] runs on the calling thread; the
+    /// field is kept for compatibility only, so callers that still set it
+    /// keep compiling.
     pub threads: usize,
 }
 
+/// How [`MonteCarlo::run_ctx`]'s pair classification split a model (see
+/// the module docs): reported by [`MonteCarlo::pruning`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PairPruning {
+    /// Unordered alternative pairs compared per trial; the order of every
+    /// other pair is fixed over the whole sampler support.
+    pub undecided_pairs: usize,
+    /// Alternatives with at least one undecided pair (the ones scored).
+    pub live_alternatives: usize,
+}
+
+/// The classified pairs of one run.
+#[derive(Debug, Default)]
+struct PairPlan {
+    /// `base[i]`: rivals that outscore `i` in every trial — its 0-based
+    /// rank before the undecided pairs are compared.
+    base: Vec<usize>,
+    /// Alternatives with an undecided pair, ascending.
+    live: Vec<usize>,
+    /// Undecided rivals of live alternative `k`, as indices into `live`:
+    /// `rivals[starts[k]..starts[k + 1]]`. Every undecided pair appears
+    /// once from each side.
+    rivals: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+/// The weight source of one run: the chunked interval stream, or one
+/// [`SimplexSampler::sample_into`] call per trial into a scratch vector.
+enum Draws {
+    Stream(IntervalStream),
+    PerTrial(SimplexSampler, Vec<f64>),
+}
+
+impl Draws {
+    /// The next `count` weight vectors into lanes `0..count` of an
+    /// attribute-major block of `lanes` trials; returns the clamped lanes
+    /// (see [`IntervalStream::fill_block`]).
+    fn fill_block(
+        &mut self,
+        rng: &mut StdRng,
+        block: &mut [f64],
+        lanes: usize,
+        count: usize,
+    ) -> u64 {
+        match self {
+            Draws::Stream(stream) => stream.fill_block(rng, block, lanes, count),
+            Draws::PerTrial(sampler, w) => {
+                for t in 0..count {
+                    sampler.sample_into(rng, w);
+                    for (j, &x) in w.iter().enumerate() {
+                        block[j * lanes + t] = x;
+                    }
+                }
+                0
+            }
+        }
+    }
+
+    /// The box `(l', u')` every unclamped vector lies in.
+    fn support(&self) -> (Vec<f64>, Vec<f64>) {
+        match self {
+            Draws::Stream(stream) => {
+                let (lo, hi) = stream.support();
+                (lo.to_vec(), hi.to_vec())
+            }
+            Draws::PerTrial(_, w) => (vec![0.0; w.len()], vec![1.0; w.len()]),
+        }
+    }
+}
+
 impl MonteCarlo {
-    /// A single-threaded simulation; panics on zero trials.
+    /// A simulation on the calling thread; panics on zero trials.
     pub fn new(config: MonteCarloConfig, trials: usize, seed: u64) -> MonteCarlo {
         assert!(trials > 0, "need at least one trial");
         MonteCarlo {
@@ -194,7 +309,7 @@ impl MonteCarlo {
         }
     }
 
-    /// Builder-style worker-count override (see the `threads` field).
+    /// Sets the unread `threads` compatibility field (see there).
     pub fn with_threads(mut self, threads: usize) -> MonteCarlo {
         self.threads = threads;
         self
@@ -203,6 +318,16 @@ impl MonteCarlo {
     /// The paper's headline run: 10 000 trials within elicited intervals.
     pub fn paper_default() -> MonteCarlo {
         MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 10_000, 20120402)
+    }
+
+    /// This run's weight source over `ctx`'s attributes.
+    fn draws(&self, ctx: &EvalContext) -> Draws {
+        let n_attrs = ctx.model().num_attributes();
+        let sampler = self.sampler(n_attrs, ctx.weights());
+        match sampler.interval_stream() {
+            Some(stream) => Draws::Stream(stream),
+            None => Draws::PerTrial(sampler, vec![0.0; n_attrs]),
+        }
     }
 
     fn sampler(&self, n: usize, weights: &AttributeWeights) -> SimplexSampler {
@@ -230,73 +355,115 @@ impl MonteCarlo {
         }
     }
 
-    /// Run the simulation against a shared evaluation context — the batched
-    /// hot path: sequential weight generation into a flat sample buffer,
-    /// columnar scoring against [`EvalContext::soa`], scratch-reusing rank
-    /// accumulation, and an optional scoped-thread fan-out (see
-    /// [`MonteCarlo::threads`]). Produces exactly the same result as
-    /// [`MonteCarlo::run_scalar_ctx`] for any worker count.
+    /// Run the simulation against a shared evaluation context — the
+    /// pair-pruned streaming kernel described in the module docs.
+    /// Produces exactly the same result as [`MonteCarlo::run_scalar_ctx`].
     pub fn run_ctx(&self, ctx: &EvalContext) -> MonteCarloResult {
-        let n_attrs = ctx.model().num_attributes();
-        let sampler = self.sampler(n_attrs, ctx.weights());
+        let mut draws = self.draws(ctx);
         let soa = ctx.soa();
-        let names = &ctx.model().alternatives;
-        let n_alts = soa.n_alternatives();
+        let names = ctx.model().alternatives.clone();
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut acc = RankAccumulator::new(names.clone());
-        let mut samples = vec![0.0; BATCH_TRIALS.min(self.trials) * n_attrs];
-        let mut done = 0usize;
-        while done < self.trials {
-            let batch = BATCH_TRIALS.min(self.trials - done);
-            for chunk in samples[..batch * n_attrs].chunks_exact_mut(n_attrs) {
-                sampler.sample_into(&mut rng, chunk);
+        let (lo, hi) = draws.support();
+        let plan = classify(soa, &lo, &hi, DENSE_RANK_MAX);
+        let accumulator = match plan {
+            Some(plan) => {
+                let counts = self.run_pruned(soa, &plan, &mut draws, &mut rng);
+                RankAccumulator::from_counts(names, counts, self.trials)
             }
-            let samples = &samples[..batch * n_attrs];
-            let parts = par::map_ranges(batch, self.threads, PAR_MIN_TRIALS, |range| {
-                let mut local = RankAccumulator::new(names.clone());
-                let worker = &samples[range.start * n_attrs..range.end * n_attrs];
-                if n_alts <= DENSE_RANK_MAX {
-                    // Blocked transposed pipeline: put trials in the SIMD
-                    // lanes. Per sub-block, flip the samples to
-                    // attribute-major, score all alternatives with one
-                    // broadcast-axpy per (alternative, attribute) cell,
-                    // and count ranks pair-major — bit-identical to the
-                    // per-trial path (same per-trial accumulation order).
-                    let mut samples_t = vec![0.0; BLOCK_TRIALS * n_attrs];
-                    let mut scores_t = vec![0.0; BLOCK_TRIALS * n_alts];
-                    for chunk in worker.chunks(BLOCK_TRIALS * n_attrs) {
-                        let block = chunk.len() / n_attrs;
-                        for (t, sample) in chunk.chunks_exact(n_attrs).enumerate() {
-                            for (j, &w) in sample.iter().enumerate() {
-                                samples_t[j * block + t] = w;
-                            }
-                        }
-                        soa.score_block_transposed(
-                            &samples_t[..block * n_attrs],
-                            block,
-                            &mut scores_t[..block * n_alts],
-                        );
-                        local.record_scores_transposed(&scores_t[..block * n_alts], block);
-                    }
-                } else {
-                    let mut scores = vec![0.0; n_alts];
-                    let mut scratch = RankScratch::default();
-                    for sample in worker.chunks_exact(n_attrs) {
-                        soa.score_into(sample, &mut scores);
-                        local.record_scores_with(&scores, &mut scratch);
-                    }
+            None => {
+                let mut acc = RankAccumulator::new(names);
+                let mut w = vec![0.0; soa.n_attributes()];
+                let mut scores = vec![0.0; soa.n_alternatives()];
+                let mut scratch = RankScratch::default();
+                for _ in 0..self.trials {
+                    draws.fill_block(&mut rng, &mut w, 1, 1);
+                    soa.score_into(&w, &mut scores);
+                    acc.record_scores_with(&scores, &mut scratch);
                 }
-                local
-            });
-            for part in &parts {
-                acc.merge(part);
+                acc
             }
-            done += batch;
-        }
+        };
         MonteCarloResult {
             trials: self.trials,
-            stats: acc.stats(),
-            accumulator: acc,
+            stats: accumulator.stats(),
+            accumulator,
+        }
+    }
+
+    /// The pair-pruned block loop: returns `counts[alt][rank-1]`.
+    fn run_pruned(
+        &self,
+        soa: &BandMatrixSoA,
+        plan: &PairPlan,
+        draws: &mut Draws,
+        rng: &mut StdRng,
+    ) -> Vec<Vec<usize>> {
+        let n_attrs = soa.n_attributes();
+        let n_alts = soa.n_alternatives();
+        let live = soa.mid_subset(&plan.live);
+        // Live alternative `k` loses 0..=deg_k of its undecided pairs; its
+        // per-lane counts of those rank offsets start at `hist[slots[k] *
+        // LANES]`, one counter per (offset, lane).
+        let slots: Vec<usize> = plan
+            .starts
+            .iter()
+            .enumerate()
+            .map(|(k, &s)| s + k)
+            .collect();
+        let mut hist = vec![0u64; slots[plan.live.len()] * LANES];
+        let mut block = vec![0.0; n_attrs * LANES];
+        let mut scores = vec![0.0; plan.live.len() * LANES];
+        let mut w = vec![0.0; n_attrs];
+        let mut full = vec![0.0; n_alts];
+        let mut counts = vec![vec![0usize; n_alts]; n_alts];
+        let mut clamped_trials = 0usize;
+        let mut done = 0usize;
+        while done < self.trials {
+            let lanes = LANES.min(self.trials - done);
+            let clamped = draws.fill_block(rng, &mut block, LANES, lanes);
+            // 1 for the lanes this block counts: drawn and not clamped.
+            // Lanes past `lanes` hold stale finite weights; their scores
+            // are computed and not counted.
+            let mut valid = [0u64; LANES];
+            for (t, v) in valid[..lanes].iter_mut().enumerate() {
+                if clamped & (1 << t) == 0 {
+                    *v = 1;
+                } else {
+                    for (x, &b) in w.iter_mut().zip(block[t..].iter().step_by(LANES)) {
+                        *x = b;
+                    }
+                    soa.score_into(&w, &mut full);
+                    rank_full_trial(&full, &mut counts);
+                    clamped_trials += 1;
+                }
+            }
+            live.score_block_transposed(&block, LANES, &mut scores);
+            rank_live_block(plan, &slots, &scores, &valid, &mut hist);
+            done += lanes;
+        }
+        for (k, &i) in plan.live.iter().enumerate() {
+            let lane_counts = &hist[slots[k] * LANES..slots[k + 1] * LANES];
+            for (o, h) in lane_counts.chunks_exact(LANES).enumerate() {
+                counts[i][plan.base[i] + o] += h.iter().sum::<u64>() as usize;
+            }
+        }
+        for (i, row) in counts.iter_mut().enumerate() {
+            if plan.live.binary_search(&i).is_err() {
+                row[plan.base[i]] += self.trials - clamped_trials;
+            }
+        }
+        counts
+    }
+
+    /// How [`MonteCarlo::run_ctx`] classifies `ctx`'s alternative pairs
+    /// under this simulation's weight class.
+    pub fn pruning(&self, ctx: &EvalContext) -> PairPruning {
+        let (lo, hi) = self.draws(ctx).support();
+        let n = ctx.soa().n_alternatives();
+        let plan = classify(ctx.soa(), &lo, &hi, n).unwrap_or_default();
+        PairPruning {
+            undecided_pairs: plan.rivals.len() / 2,
+            live_alternatives: plan.live.len(),
         }
     }
 
@@ -339,10 +506,170 @@ impl MonteCarlo {
     }
 }
 
+/// Classify every alternative pair over the support box `(lo, hi)` (see
+/// the module docs). `None` once more than `max_live` alternatives have
+/// an undecided pair: the caller then ranks every trial in full.
+fn classify(soa: &BandMatrixSoA, lo: &[f64], hi: &[f64], max_live: usize) -> Option<PairPlan> {
+    let n = soa.n_alternatives();
+    let m = soa.n_attributes();
+    let mut rows = vec![0.0; n * m];
+    let mut scale = 0.0f64;
+    for j in 0..m {
+        for (i, &u) in soa.mid_col(j).iter().enumerate() {
+            rows[i * m + j] = u;
+            scale = scale.max(u.abs());
+        }
+    }
+    let delta = PAIR_MARGIN * scale.max(1.0);
+    // The rounding bound of the module docs, with u = EPSILON / 2.
+    debug_assert!(64.0 * (m + 1) as f64 * (f64::EPSILON / 2.0) * scale < delta);
+    let mut d = vec![0.0; m];
+    let mut order = vec![0usize; m];
+    let mut base = vec![0usize; n];
+    let mut is_live = vec![false; n];
+    let mut n_live = 0usize;
+    let mut undecided = Vec::new();
+    for a in 0..n {
+        for b in a + 1..n {
+            let (row_a, row_b) = (&rows[a * m..(a + 1) * m], &rows[b * m..(b + 1) * m]);
+            for ((x, &ua), &ub) in d.iter_mut().zip(row_a).zip(row_b) {
+                *x = ua - ub;
+            }
+            let (min, max) = pair_extremes(&d, lo, hi, &mut order);
+            if min > delta {
+                base[b] += 1;
+            } else if max < -delta {
+                base[a] += 1;
+            } else {
+                undecided.push((a, b));
+                for i in [a, b] {
+                    if !is_live[i] {
+                        is_live[i] = true;
+                        n_live += 1;
+                    }
+                }
+                if n_live > max_live {
+                    return None;
+                }
+            }
+        }
+    }
+    let live: Vec<usize> = (0..n).filter(|&i| is_live[i]).collect();
+    let mut slot = vec![0usize; n];
+    for (k, &i) in live.iter().enumerate() {
+        slot[i] = k;
+    }
+    let mut starts = vec![0usize; live.len() + 1];
+    for &(a, b) in &undecided {
+        starts[slot[a] + 1] += 1;
+        starts[slot[b] + 1] += 1;
+    }
+    for k in 0..live.len() {
+        starts[k + 1] += starts[k];
+    }
+    let mut fill = starts.clone();
+    let mut rivals = vec![0usize; 2 * undecided.len()];
+    for &(a, b) in &undecided {
+        let (a, b) = (slot[a], slot[b]);
+        rivals[fill[a]] = b;
+        fill[a] += 1;
+        rivals[fill[b]] = a;
+        fill[b] += 1;
+    }
+    Some(PairPlan {
+        base,
+        live,
+        rivals,
+        starts,
+    })
+}
+
+/// Minimum and maximum of `Σ d_j w_j` over `{lo ≤ w ≤ hi, Σw = 1}`: start
+/// at `lo` and pour the remaining mass into the smallest (for the
+/// minimum) or largest (maximum) `d_j` first. NaN for both when the set
+/// is empty, so the pair stays undecided. `order` is scratch of `d`'s
+/// length.
+fn pair_extremes(d: &[f64], lo: &[f64], hi: &[f64], order: &mut [usize]) -> (f64, f64) {
+    for (k, o) in order.iter_mut().enumerate() {
+        *o = k;
+    }
+    order.sort_unstable_by(|&x, &y| d[x].total_cmp(&d[y]));
+    let mut at_lo = 0.0;
+    let mut mass = 1.0;
+    for (&dj, &l) in d.iter().zip(lo) {
+        at_lo += l * dj;
+        mass -= l;
+    }
+    if mass < 0.0 {
+        return (f64::NAN, f64::NAN);
+    }
+    let pour = |seq: &mut dyn Iterator<Item = &usize>| {
+        let mut left = mass;
+        let mut value = at_lo;
+        for &j in seq {
+            if left <= 0.0 {
+                break;
+            }
+            let take = (hi[j] - lo[j]).min(left);
+            value += take * d[j];
+            left -= take;
+        }
+        if left > 0.0 {
+            f64::NAN
+        } else {
+            value
+        }
+    };
+    (pour(&mut order.iter()), pour(&mut order.iter().rev()))
+}
+
+/// Rank the live alternatives across one block and count the ranks: a
+/// live alternative's rank offset in lane `t` is the number of its
+/// undecided rivals that strictly outscore it there (`scores` is
+/// live-major, `LANES` wide), and counter `hist[(slots[k] + offset) *
+/// LANES + t]` gains `valid[t]` (one counter per lane, so no two
+/// increments of a block hit the same counter).
+fn rank_live_block(
+    plan: &PairPlan,
+    slots: &[usize],
+    scores: &[f64],
+    valid: &[u64; LANES],
+    hist: &mut [u64],
+) {
+    let lanes_of = |k: usize| {
+        let mut s = [0.0f64; LANES];
+        s.copy_from_slice(&scores[k * LANES..(k + 1) * LANES]);
+        s
+    };
+    for (k, window) in plan.starts.windows(2).enumerate() {
+        let s_k = lanes_of(k);
+        let mut offset = [0u64; LANES];
+        for &r in &plan.rivals[window[0]..window[1]] {
+            let s_r = lanes_of(r);
+            for ((o, &x), &y) in offset.iter_mut().zip(&s_r).zip(&s_k) {
+                *o += u64::from(x > y);
+            }
+        }
+        let counters = &mut hist[slots[k] * LANES..slots[k + 1] * LANES];
+        for (t, (&o, &v)) in offset.iter().zip(valid).enumerate() {
+            counters[o as usize * LANES + t] += v;
+        }
+    }
+}
+
+/// Rank one fully scored trial into `counts`: an alternative's 0-based
+/// rank is the number of strictly greater scores.
+fn rank_full_trial(scores: &[f64], counts: &mut [Vec<usize>]) {
+    for (row, &s) in counts.iter_mut().zip(scores) {
+        row[scores.iter().filter(|&&other| other > s).count()] += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use maut::prelude::*;
+    use rand::Rng;
 
     fn ctx(m: &DecisionModel) -> EvalContext {
         EvalContext::new(m.clone()).expect("valid model")
@@ -470,9 +797,8 @@ mod tests {
 
     #[test]
     fn same_seed_same_ranking_frequency_matrix_across_thread_counts() {
-        // The deterministic-RNG guarantee: one sequential sample stream,
-        // order-independent count merges — so 1, 2, 8 or auto workers (and
-        // batch boundaries in between) all reproduce the same matrix.
+        // The deterministic-RNG guarantee: the worker count is an unread
+        // compatibility field, so every value reproduces the same matrix.
         let c = ctx(&model());
         let mc = MonteCarlo::new(MonteCarloConfig::ElicitedIntervals, 1500, 77);
         let reference = mc.clone().with_threads(1).run_ctx(&c);
@@ -498,9 +824,10 @@ mod tests {
 
     #[test]
     fn wide_models_take_the_sorting_branch_and_still_agree() {
-        // More alternatives than DENSE_RANK_MAX: run_ctx switches to the
-        // per-trial sorting path, which must match the scalar reference
-        // exactly too (and across thread counts).
+        // More live alternatives than DENSE_RANK_MAX (every alternative
+        // has an exact duplicate, and ties are never decided): run_ctx
+        // switches to the per-trial sorting path, which must match the
+        // scalar reference exactly too.
         let mut b = DecisionModelBuilder::new("wide");
         let x = b.discrete_attribute("x", "X", &["0", "1", "2", "3"]);
         let y = b.discrete_attribute("y", "Y", &["0", "1", "2", "3"]);
@@ -512,9 +839,8 @@ mod tests {
             );
         }
         let c = EvalContext::new(b.build().unwrap()).unwrap();
-        // Enough trials that a multi-worker request actually fans out
-        // (PAR_MIN_TRIALS per worker) on the sorting branch.
-        let mc = MonteCarlo::new(MonteCarloConfig::Random, 2 * PAR_MIN_TRIALS + 100, 5);
+        let mc = MonteCarlo::new(MonteCarloConfig::Random, 1124, 5);
+        assert!(mc.pruning(&c).live_alternatives > DENSE_RANK_MAX);
         let scalar = mc.run_scalar_ctx(&c);
         for threads in [1usize, 4] {
             let batched = mc.clone().with_threads(threads).run_ctx(&c);
@@ -527,14 +853,100 @@ mod tests {
     }
 
     #[test]
+    fn pair_extremes_match_vertex_enumeration() {
+        // The knapsack extremes against brute force: every vertex of
+        // {lo ≤ w ≤ hi, Σw = 1} has all coordinates but one at a bound.
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for case in 0..400 {
+            let m = 1 + case % 6;
+            let d: Vec<f64> = (0..m).map(|_| rng.random_range(-1.0..1.0)).collect();
+            let lo: Vec<f64> = (0..m).map(|_| rng.random_range(0.0..0.3)).collect();
+            let hi: Vec<f64> = lo.iter().map(|&l| l + rng.random_range(0.0..0.6)).collect();
+            let (mut best_min, mut best_max) = (f64::INFINITY, f64::NEG_INFINITY);
+            for free in 0..m {
+                for mask in 0u32..1 << (m - 1) {
+                    let mut w = vec![0.0; m];
+                    let mut bit = 0;
+                    for (j, x) in w.iter_mut().enumerate() {
+                        if j != free {
+                            *x = if mask & (1 << bit) != 0 { hi[j] } else { lo[j] };
+                            bit += 1;
+                        }
+                    }
+                    w[free] = 1.0 - w.iter().sum::<f64>();
+                    if w[free] < lo[free] - 1e-12 || w[free] > hi[free] + 1e-12 {
+                        continue;
+                    }
+                    let v: f64 = d.iter().zip(&w).map(|(a, b)| a * b).sum();
+                    best_min = best_min.min(v);
+                    best_max = best_max.max(v);
+                }
+            }
+            let (min, max) = pair_extremes(&d, &lo, &hi, &mut vec![0; m]);
+            if best_min.is_finite() {
+                assert!(
+                    (min - best_min).abs() < 1e-9,
+                    "case {case}: {min} vs {best_min}"
+                );
+                assert!(
+                    (max - best_max).abs() < 1e-9,
+                    "case {case}: {max} vs {best_max}"
+                );
+            } else {
+                assert!(min.is_nan() && max.is_nan(), "case {case}: empty set");
+            }
+        }
+    }
+
+    #[test]
+    fn pruning_decides_dominance_and_keeps_ties_live() {
+        // A strict chain: every pair decided, nothing scored.
+        let mut b = DecisionModelBuilder::new("chain");
+        let x = b.discrete_attribute("x", "X", &["0", "1", "2", "3"]);
+        let y = b.discrete_attribute("y", "Y", &["0", "1", "2", "3"]);
+        b.attach_attributes_to_root(&[(x, Interval::new(0.3, 0.7)), (y, Interval::new(0.3, 0.7))]);
+        for level in 0..4 {
+            b.alternative(format!("a{level}"), vec![Perf::level(level); 2]);
+        }
+        b.alternative("twin", vec![Perf::level(3); 2]);
+        let c = EvalContext::new(b.build().unwrap()).unwrap();
+        for config in [
+            MonteCarloConfig::Random,
+            MonteCarloConfig::ElicitedIntervals,
+        ] {
+            let mc = MonteCarlo::new(config, 37, 9);
+            // The twin ties a3 exactly: that pair alone stays undecided.
+            assert_eq!(
+                mc.pruning(&c),
+                PairPruning {
+                    undecided_pairs: 1,
+                    live_alternatives: 2,
+                }
+            );
+            let r = mc.run_ctx(&c);
+            assert_eq!(r.rank_counts(), mc.run_scalar_ctx(&c).rank_counts());
+            assert_eq!(r.stats[3].times_best, 37);
+            assert_eq!(r.stats[4].times_best, 37);
+            assert_eq!(r.stats[0].mode, 5);
+        }
+    }
+
+    #[test]
     fn batch_boundaries_do_not_change_results() {
-        // More trials than one sample batch holds: the scalar reference
-        // and the multi-batch path must still agree exactly.
+        // Trial counts off the 16-lane block and the attempt chunk: the
+        // scalar reference and the block loop must still agree exactly.
         let c = ctx(&model());
-        let mc = MonteCarlo::new(MonteCarloConfig::Random, 5000, 3);
-        assert_eq!(
-            mc.run_scalar_ctx(&c).rank_counts(),
-            mc.run_ctx(&c).rank_counts()
-        );
+        for (config, trials) in [
+            (MonteCarloConfig::Random, 5000),
+            (MonteCarloConfig::ElicitedIntervals, 1),
+            (MonteCarloConfig::ElicitedIntervals, 17),
+            (MonteCarloConfig::ElicitedIntervals, 65),
+        ] {
+            let mc = MonteCarlo::new(config, trials, 3);
+            assert_eq!(
+                mc.run_scalar_ctx(&c).rank_counts(),
+                mc.run_ctx(&c).rank_counts()
+            );
+        }
     }
 }

@@ -98,6 +98,25 @@ impl BandMatrixSoA {
         }
     }
 
+    /// The midpoint columns of `alternatives` (in the given order) as a
+    /// matrix of their own, for scoring kernels that only read midpoints
+    /// (the Monte Carlo block scorer over its live alternatives). The lo
+    /// and hi projections alias the midpoints.
+    pub fn mid_subset(&self, alternatives: &[usize]) -> BandMatrixSoA {
+        let mut mid = Vec::with_capacity(alternatives.len() * self.n_attrs);
+        for j in 0..self.n_attrs {
+            let col = self.mid_col(j);
+            mid.extend(alternatives.iter().map(|&i| col[i]));
+        }
+        BandMatrixSoA {
+            n_alts: alternatives.len(),
+            n_attrs: self.n_attrs,
+            lo: mid.clone(),
+            hi: mid.clone(),
+            mid,
+        }
+    }
+
     /// Number of alternatives (rows of the logical matrix).
     pub fn n_alternatives(&self) -> usize {
         self.n_alts

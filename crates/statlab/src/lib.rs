@@ -26,6 +26,8 @@ pub use convergence::ConvergenceTracker;
 pub use describe::{describe_counts, percentile, Describe};
 pub use rank::{
     kendall_tau, rank_vector, rank_vector_with, spearman_rho, RankAccumulator, RankScratch,
-    RankStats, TieBreak, RANK_LANES,
+    RankStats, TieBreak,
 };
-pub use sampling::{uniform_simplex, uniform_simplex_into, SimplexSampler, WeightScheme};
+pub use sampling::{
+    uniform_simplex, uniform_simplex_into, IntervalStream, SimplexSampler, WeightScheme,
+};

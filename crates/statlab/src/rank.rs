@@ -6,11 +6,6 @@
 use crate::describe::describe_counts;
 use serde::{Deserialize, Serialize};
 
-/// Trial count of the register-blocked transposed rank kernel (see
-/// [`RankAccumulator::record_scores_transposed`]); batch drivers slice
-/// their trials into sub-blocks of exactly this size for the fast path.
-pub const RANK_LANES: usize = 16;
-
 /// Tie-handling policy for [`rank_vector`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TieBreak {
@@ -177,20 +172,12 @@ pub struct RankAccumulator {
     /// `counts[alt][rank-1]` = number of trials where `alt` took `rank`.
     counts: Vec<Vec<usize>>,
     trials: usize,
-    /// Scratch for [`RankAccumulator::record_scores_transposed`]:
-    /// per-trial strictly-greater tallies, kept as f64 so the
-    /// compare-accumulate loop vectorizes lane-for-lane with the f64 score
-    /// compares (small integer counts are exact in f64). Re-sized by every
-    /// user — lengths vary between calls.
-    better: Vec<f64>,
 }
 
 // Wire encoding for the serving layer: the accumulator is the full
 // fidelity rank distribution (`counts[alt][rank-1]`), so a Monte Carlo
 // result shipped across a connection can answer `acceptability` queries
-// exactly like the in-process original. The `better` scratch buffer is
-// transient per-call state and deliberately stays out of the encoding;
-// deserialization rebuilds it empty-sized to the alternative count.
+// exactly like the in-process original.
 impl serde::Serialize for RankAccumulator {
     fn to_value(&self) -> serde::Value {
         serde::Value::Map(vec![
@@ -211,12 +198,10 @@ impl serde::Deserialize for RankAccumulator {
                 "rank accumulator counts must be square in the label count",
             ));
         }
-        let n = labels.len();
         Ok(RankAccumulator {
             labels,
             counts,
             trials,
-            better: vec![0.0; n],
         })
     }
 }
@@ -228,7 +213,31 @@ impl RankAccumulator {
             labels,
             counts: vec![vec![0; n]; n],
             trials: 0,
-            better: vec![0.0; n],
+        }
+    }
+
+    /// An accumulator over an already counted ranking-frequency matrix
+    /// (`counts[alt][rank-1]`) of `trials` trials — for drivers that
+    /// count ranks themselves. Panics unless `counts` is square in the
+    /// label count and every row sums to `trials`.
+    pub fn from_counts(
+        labels: Vec<String>,
+        counts: Vec<Vec<usize>>,
+        trials: usize,
+    ) -> RankAccumulator {
+        let n = labels.len();
+        assert!(
+            counts.len() == n && counts.iter().all(|row| row.len() == n),
+            "rank counts must be square in the label count"
+        );
+        assert!(
+            counts.iter().all(|row| row.iter().sum::<usize>() == trials),
+            "every alternative needs one rank per trial"
+        );
+        RankAccumulator {
+            labels,
+            counts,
+            trials,
         }
     }
 
@@ -263,72 +272,8 @@ impl RankAccumulator {
         self.trials += 1;
     }
 
-    /// Record a transposed *block* of trials at once — the batched Monte
-    /// Carlo ranking kernel. `scores_t` is alternative-major
-    /// (`scores_t[alt * block + t]` = score of `alt` in trial `t`). Rank
-    /// counting runs pair-major: an alternative's `TieBreak::Min` rank is
-    /// `1 +` the number of strictly greater scores, so each ordered
-    /// alternative pair is one vectorized strictly-greater sweep across
-    /// the whole block of trials. Counts are identical to the sorting
-    /// path of [`RankAccumulator::record_scores`] for finite scores (the
-    /// only scores an additive utility model produces).
-    pub fn record_scores_transposed(&mut self, scores_t: &[f64], block: usize) {
-        let n = self.labels.len();
-        assert_eq!(scores_t.len(), n * block, "score block arity");
-        debug_assert!(scores_t.iter().all(|s| !s.is_nan()), "NaN score");
-        if block == RANK_LANES {
-            return self.record_scores_16(scores_t);
-        }
-        self.better.clear();
-        self.better.resize(block, 0.0);
-        for (i, row) in self.counts.iter_mut().enumerate() {
-            let s_i = &scores_t[i * block..(i + 1) * block];
-            self.better.fill(0.0);
-            for (k, s_k) in scores_t.chunks_exact(block).enumerate() {
-                if k == i {
-                    continue;
-                }
-                for ((a, &sk), &si) in self.better.iter_mut().zip(s_k).zip(s_i) {
-                    *a += if sk > si { 1.0 } else { 0.0 };
-                }
-            }
-            for &b in self.better.iter() {
-                row[b as usize] += 1;
-            }
-        }
-        self.trials += block;
-    }
-
-    /// Fixed-width fast path of
-    /// [`RankAccumulator::record_scores_transposed`]: with the block size a
-    /// compile-time constant, each alternative's strictly-greater tally and
-    /// its own score row live in stack arrays the compiler keeps in vector
-    /// registers across the whole rival sweep — one compare + masked add
-    /// per `(rival, trial)` lane with no accumulator memory traffic.
-    fn record_scores_16(&mut self, scores_t: &[f64]) {
-        const T: usize = RANK_LANES;
-        for (i, row) in self.counts.iter_mut().enumerate() {
-            let mut s_i = [0.0f64; T];
-            s_i.copy_from_slice(&scores_t[i * T..(i + 1) * T]);
-            let mut acc = [0.0f64; T];
-            for (k, s_k) in scores_t.chunks_exact(T).enumerate() {
-                if k == i {
-                    continue;
-                }
-                for ((a, &sk), &si) in acc.iter_mut().zip(s_k).zip(&s_i) {
-                    *a += if sk > si { 1.0 } else { 0.0 };
-                }
-            }
-            for &b in &acc {
-                row[b as usize] += 1;
-            }
-        }
-        self.trials += T;
-    }
-
     /// Fold another accumulator's counts into this one (same label set).
-    /// Integer counts make the fold order-independent, so parallel Monte
-    /// Carlo workers merge deterministically whatever the thread count.
+    /// Integer counts make the fold order-independent.
     pub fn merge(&mut self, other: &RankAccumulator) {
         assert_eq!(self.labels, other.labels, "accumulator label mismatch");
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
@@ -492,85 +437,25 @@ mod tests {
     }
 
     #[test]
-    fn transposed_recording_matches_sorting_path_on_ties() {
-        // One-trial blocks through the transposed kernel vs the sorting
-        // path, on tie-heavy score vectors.
-        let labels: Vec<String> = (0..7).map(|i| format!("a{i}")).collect();
-        let mut sorted = RankAccumulator::new(labels.clone());
-        let mut transposed = RankAccumulator::new(labels);
-        let trials = [
-            vec![0.9, 0.5, 0.1, 0.5, 0.9, 0.0, 0.3], // ties everywhere
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
-            vec![0.0; 7], // all tied
-            vec![0.1, 0.2, 0.2, 0.2, 0.9, 0.9, 0.5],
-        ];
-        for t in &trials {
-            sorted.record_scores(t);
-            // A block of one trial is already alternative-major.
-            transposed.record_scores_transposed(t, 1);
+    fn from_counts_matches_recorded_trials() {
+        let labels: Vec<String> = (0..3).map(|i| format!("a{i}")).collect();
+        let mut recorded = RankAccumulator::new(labels.clone());
+        for t in [[0.9, 0.5, 0.5], [0.1, 0.2, 0.3], [0.4, 0.4, 0.4]] {
+            recorded.record_scores(&t);
         }
-        assert_eq!(sorted.counts(), transposed.counts());
-        assert_eq!(sorted.stats(), transposed.stats());
+        let rebuilt = RankAccumulator::from_counts(labels, recorded.counts().to_vec(), 3);
+        assert_eq!(rebuilt.counts(), recorded.counts());
+        assert_eq!(rebuilt.stats(), recorded.stats());
     }
 
     #[test]
-    fn transposed_scratch_survives_varying_block_sizes() {
-        // Regression: the `better` scratch is shared across calls of
-        // different lengths; a small block must not truncate a larger
-        // following one.
-        let labels: Vec<String> = (0..7).map(|i| format!("a{i}")).collect();
-        let trial = [0.9, 0.5, 0.1, 0.6, 0.2, 0.8, 0.4];
-        let mut reference = RankAccumulator::new(labels.clone());
-        reference.record_scores(&trial);
-        reference.record_scores(&trial);
-        reference.record_scores(&trial);
-
-        let mut mixed = RankAccumulator::new(labels);
-        // Leaves `better` at length 7 (block of one trial)...
-        mixed.record_scores_transposed(&trial, 1);
-        // ...then a two-trial block needs length 14.
-        let mut scores_t = vec![0.0; 14];
-        for (alt, &s) in trial.iter().enumerate() {
-            scores_t[alt * 2] = s;
-            scores_t[alt * 2 + 1] = s;
-        }
-        mixed.record_scores_transposed(&scores_t, 2);
-        assert_eq!(reference.counts(), mixed.counts());
-        for row in mixed.counts() {
-            assert_eq!(row.iter().sum::<usize>(), 3);
-        }
-    }
-
-    #[test]
-    fn transposed_block_matches_per_trial_paths() {
-        let labels: Vec<String> = (0..5).map(|i| format!("a{i}")).collect();
-        let trials = [
-            vec![0.9, 0.5, 0.1, 0.5, 0.9],
-            vec![1.0, 2.0, 3.0, 4.0, 5.0],
-            vec![0.0, 0.0, 0.0, 0.0, 0.0],
-            vec![0.3, 0.3, 0.9, 0.1, 0.9],
-            vec![0.7, 0.1, 0.1, 0.2, 0.6],
-            vec![0.2, 0.8, 0.8, 0.8, 0.2],
-            vec![0.4, 0.6, 0.5, 0.3, 0.2],
-        ];
-        let mut per_trial = RankAccumulator::new(labels.clone());
-        for t in &trials {
-            per_trial.record_scores(t);
-        }
-        // Two blocks of sizes 4 and 3 in alternative-major layout.
-        let mut blocked = RankAccumulator::new(labels);
-        for chunk in trials.chunks(4) {
-            let block = chunk.len();
-            let mut scores_t = vec![0.0; 5 * block];
-            for (t, trial) in chunk.iter().enumerate() {
-                for (alt, &s) in trial.iter().enumerate() {
-                    scores_t[alt * block + t] = s;
-                }
-            }
-            blocked.record_scores_transposed(&scores_t, block);
-        }
-        assert_eq!(per_trial.counts(), blocked.counts());
-        assert_eq!(per_trial.trials(), blocked.trials());
+    #[should_panic(expected = "one rank per trial")]
+    fn from_counts_rejects_rows_that_miss_trials() {
+        RankAccumulator::from_counts(
+            vec!["x".into(), "y".into()],
+            vec![vec![1, 0], vec![0, 0]],
+            1,
+        );
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!
 //! * SoA batch evaluation vs the scalar per-row evaluation;
 //! * Monte Carlo rank counts and acceptance fractions under a fixed seed,
-//!   scalar loop vs batched SoA vs the scoped-thread fan-out (1 vs N
-//!   workers);
+//!   scalar loop vs the pair-pruned streaming kernel, under all four
+//!   simulation classes on every `gmaa-gen` family, plus fixtures for
+//!   exact ties, a strict dominance chain (nothing scored), the clamped
+//!   fallback of a near-infeasible weight box, and trial counts off the
+//!   block and chunk sizes;
 //! * dominance matrices, dominance intervals and potential-optimality
 //!   verdicts vs in-test row-major reference implementations (the
 //!   pre-blocked-sweep logic, rebuilt here so they share no code with the
@@ -28,8 +31,8 @@
 //! bit-for-bit because every kernel accumulates in the same index order.
 //! The default suite runs 64 random cases; the `#[ignore]`d suites (run in
 //! CI via `cargo test -- --include-ignored`) cover 256 plus the LP-heavy
-//! potential-optimality sweep, the long warm-start differential, and the
-//! long edit-sequence histories.
+//! potential-optimality sweep, the long warm-start differential, the
+//! long edit-sequence histories, and the large pruned Monte Carlo sweep.
 
 use maut::prelude::*;
 use maut_sense::{dominance, intensity, potential, DominanceOutcome, MonteCarlo, MonteCarloConfig};
@@ -239,7 +242,8 @@ fn check_case(seed: u64, max_alts: usize, max_attrs: usize, trials: usize, with_
         }
     }
 
-    // Monte Carlo: scalar loop vs batched SoA vs threaded fan-out.
+    // Monte Carlo: scalar loop vs the pruned kernel (the worker count is
+    // an unread compatibility field).
     let config = match seed % 3 {
         0 => MonteCarloConfig::Random,
         1 => MonteCarloConfig::ElicitedIntervals,
@@ -622,6 +626,125 @@ fn generated_families_incremental_long_histories() {
         for seed in 0..2 {
             check_generated_family_edits(&gmaa_gen::GenConfig::preset(family, 40, 9, seed), 10, 5);
         }
+    }
+}
+
+/// The four simulation classes over `m` attributes: a reversed total
+/// order, and a partial order in index blocks of three.
+fn mc_configs(m: usize) -> [MonteCarloConfig; 4] {
+    let order: Vec<usize> = (0..m).rev().collect();
+    let groups = (0..m)
+        .collect::<Vec<_>>()
+        .chunks(3)
+        .map(<[usize]>::to_vec)
+        .collect();
+    [
+        MonteCarloConfig::Random,
+        MonteCarloConfig::RankOrder(order),
+        MonteCarloConfig::PartialRankOrder(groups),
+        MonteCarloConfig::ElicitedIntervals,
+    ]
+}
+
+/// Pair-pruned kernel ≡ scalar reference: identical rank counts under
+/// every simulation class.
+fn check_pruned_monte_carlo(ctx: &EvalContext, trials: usize, seed: u64, label: &str) {
+    for config in mc_configs(ctx.model().num_attributes()) {
+        let mc = MonteCarlo::new(config.clone(), trials, seed);
+        assert_eq!(
+            mc.run_ctx(ctx).rank_counts(),
+            mc.run_scalar_ctx(ctx).rank_counts(),
+            "{label}, {config:?}, {trials} trials"
+        );
+    }
+}
+
+/// A two-attribute model over `rows` of `(x, y)` levels in `0..4`, with
+/// the given root weight intervals.
+fn level_model(rows: &[(usize, usize)], wx: Interval, wy: Interval) -> EvalContext {
+    let mut b = DecisionModelBuilder::new("levels");
+    let x = b.discrete_attribute("x", "X", &["0", "1", "2", "3"]);
+    let y = b.discrete_attribute("y", "Y", &["0", "1", "2", "3"]);
+    b.attach_attributes_to_root(&[(x, wx), (y, wy)]);
+    for (i, &(lx, ly)) in rows.iter().enumerate() {
+        b.alternative(format!("a{i}"), vec![Perf::level(lx), Perf::level(ly)]);
+    }
+    EvalContext::new(b.build().expect("valid")).expect("valid")
+}
+
+#[test]
+fn pruned_monte_carlo_fast() {
+    // Trial counts off both the 16-trial block and the 64-attempt chunk.
+    for family in gmaa_gen::Family::ALL {
+        for seed in 1..=2 {
+            let cfg = gmaa_gen::GenConfig::preset(family, 18, 7, seed);
+            let ctx = EvalContext::new(gmaa_gen::generate(&cfg)).expect("valid");
+            check_pruned_monte_carlo(&ctx, 203, seed ^ 0xC0DE, &cfg.label());
+        }
+    }
+
+    // Exact duplicates: a zero difference is never decided, so the tied
+    // pairs stay live and are compared (and tied) per trial.
+    let wide = Interval::new(0.3, 0.7);
+    let twins = level_model(&[(3, 1), (3, 1), (1, 3), (1, 3), (0, 0)], wide, wide);
+    let mc = MonteCarlo::new(MonteCarloConfig::Random, 77, 5);
+    assert_eq!(mc.pruning(&twins).undecided_pairs, 6);
+    check_pruned_monte_carlo(&twins, 77, 5, "duplicates");
+
+    // A strict dominance chain: every pair decided, nothing scored.
+    let chain = level_model(&[(0, 0), (1, 1), (2, 2), (3, 3)], wide, wide);
+    assert_eq!(mc.pruning(&chain).live_alternatives, 0);
+    check_pruned_monte_carlo(&chain, 45, 6, "dominance chain");
+
+    // A near-infeasible interval box: y's weight is pinned to within
+    // 0.001 of 0.5, so about 2% of trials exhaust the rejection cap and
+    // take the clamped fallback, which the kernel ranks in full.
+    let pinned = level_model(
+        &[(3, 0), (0, 3), (2, 2), (1, 1), (3, 3)],
+        Interval::new(0.0, 1.0),
+        Interval::new(0.499, 0.501),
+    );
+    let w = pinned.weights();
+    let sampler = statlab::SimplexSampler::new(
+        2,
+        statlab::WeightScheme::Intervals {
+            lower: w.lows(),
+            upper: w.upps(),
+        },
+    );
+    let mut stream = sampler.interval_stream().expect("interval scheme");
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut block = vec![0.0; 2 * 16];
+    let clamped: u32 = (0..32)
+        .map(|_| stream.fill_block(&mut rng, &mut block, 16, 16).count_ones())
+        .sum();
+    assert!(clamped > 0, "the pinned box never hit the fallback");
+    for trials in [1, 16, 64, 333] {
+        check_pruned_monte_carlo(&pinned, trials, 7, "near-infeasible box");
+    }
+}
+
+#[test]
+#[ignore = "slow pruned Monte Carlo differential; CI runs it via --include-ignored"]
+fn pruned_monte_carlo_sweep() {
+    // Larger families (up to 90 alternatives, so the sorting branch past
+    // 64 live alternatives runs too) and the random models.
+    let mut sorting_cases = 0;
+    for family in gmaa_gen::Family::ALL {
+        for seed in 0..4 {
+            for (alts, attrs) in [(40, 9), (90, 6)] {
+                let cfg = gmaa_gen::GenConfig::preset(family, alts, attrs, seed);
+                let ctx = EvalContext::new(gmaa_gen::generate(&cfg)).expect("valid");
+                let mc = MonteCarlo::new(MonteCarloConfig::Random, 1, seed);
+                sorting_cases += usize::from(mc.pruning(&ctx).live_alternatives > 64);
+                check_pruned_monte_carlo(&ctx, 1009, seed, &cfg.label());
+            }
+        }
+    }
+    assert!(sorting_cases > 0, "no case took the sorting branch");
+    for seed in 0..64 {
+        let ctx = EvalContext::new(random_model(seed, 30, 12)).expect("valid");
+        check_pruned_monte_carlo(&ctx, 517, seed, &format!("random model {seed}"));
     }
 }
 
